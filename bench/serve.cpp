@@ -5,8 +5,10 @@
 // batching queue buys: many requests coalesced into one generator
 // forward instead of one forward (plus linger) per request.
 //
-// Emits one JSON object to stdout; scripts/check.sh (stage "serve")
-// persists it as BENCH_serve.json. Schema (schema_version 1):
+// Emits one JSON object to stdout; scripts/check.sh (stage "serve") fails
+// unless 64 clients get >=3x one client's rows/s. Exits nonzero when the
+// determinism probe fails. Latency and throughput numbers for serving come
+// from perfbench's `serve` workload. Schema (schema_version 1):
 //   {"schema_version":1, "rows_per_request":N, "requests_per_client":N,
 //    "deterministic":true,
 //    "levels":[{"clients":1,"rows_per_sec":..,"p50_ms":..,"p99_ms":..,

@@ -1,64 +1,54 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus observability + training-health smoke tests.
+# Tier-1 verification plus the end-to-end smoke stages.
 #
 #   scripts/check.sh [build-dir]
 #
-# Stages (select with GTV_CHECK_STAGE, default "all"):
-#   all    1. configure + build + ctest (the repo's tier-1 gate)
-#          2. one small benchmark run with GTV_TRACE + GTV_PROFILE enabled;
-#             assert the trace parses as JSONL with party rows + send/recv
-#             flow pairs, the telemetry/profile JSON exist and carry
-#             schema_version, and gtv-prof merges all three artefacts
-#          3. the health stage below
-#   health incremental build, then the training-health smoke: a healthy
-#          GTV_HEALTH=1 run must stay alert-free and emit the schema v3
-#          telemetry envelope + <fig>.health.json (feeding the
-#          BENCH_health_smoke.json baseline), a destabilized-LR run must
-#          turn fatal and emit health.* trace instants, the divergence-test
-#          JSONL artefact must hold well-formed alerts, and gtv-prof /
-#          gtv-health must render it all.
-#   transport incremental build + transport tests, then the distributed
-#          smoke: gtv-node trains a 2-client split as 4 OS processes over
-#          TCP-localhost and the per-round losses must match the in-proc
-#          reference to 1e-5; a chaos run (>=10% drop + corruption) must
-#          complete with nonzero retries, every injected corruption caught
-#          by CRC, and losses identical to the clean run. Emits
-#          BENCH_transport_smoke.json.
-#   kernels incremental build + the dense-kernel tests (bit-parity vs the
-#          naive reference, IEEE non-finite propagation, thread-pool
-#          reentrancy, 10-round loss-trajectory parity), then bench/kernels:
-#          the tiled gemm must beat the compiled-in seed kernel by >=2.5x at
-#          512^3 on this machine. Emits BENCH_kernels.json.
-#   liveobs incremental build + agg/transport tests, then the live-telemetry
-#          smoke: a 4-process run with the Collector enabled must show every
-#          party live in gtv-top and on the Prometheus endpoint (party
-#          labels), every party must deliver >=1 snapshot with a finite
-#          measured clock offset, the loss trajectory must be identical to a
-#          telemetry-off run, and gtv-prof --offsets must fold the per-party
-#          traces into clock-aligned cross-file gap statistics. Emits
-#          BENCH_liveobs_smoke.json (snapshot latency p50/p99 + collector
-#          overhead) and diffs all baselines via scripts/bench_compare.py.
-#   blackbox incremental build + blackbox/json tests, then the crash-forensics
-#          smoke: a recorder-on inproc run must reproduce the recorder-off
-#          losses bit-for-bit at <2% wall overhead, gtv-postmortem --bench
-#          must sustain the append path through ring wrap with zero CRC
-#          rejects, and a 4-process TCP run SIGKILLed mid-round must leave
-#          every ring valid (CRCs, contiguous seqs) with gtv-postmortem
-#          naming the killed party, its last round/phase, and >=1 transport
-#          event around the death. Emits BENCH_blackbox_smoke.json
-#          (records/sec, write p99, overhead ratio).
-#   sampler incremental build + sampler/transport tests, then the profiler
-#          smoke: a --sample-hz 97 inproc run must reproduce the sampler-off
-#          losses + model hash bit-for-bit at <=3% CPU overhead (wait4
-#          rusage, interleaved pairs); a 4-process TCP run writes one
+# Every run configures and builds first. GTV_CHECK_STAGE (default "all")
+# picks what runs next; the stage table at the bottom maps each stage to the
+# ctest subset it runs on its own and to its run_<stage>_stage function.
+#   all    the full ctest (the repo's tier-1 gate); one small benchmark run
+#          with GTV_TRACE + GTV_PROFILE enabled, whose trace must parse as
+#          JSONL with party rows + send/recv flow pairs, whose
+#          telemetry/profile JSON must carry schema_version, and which
+#          gtv-prof must merge; then every stage below, once each
+#   health training-health smoke: a healthy GTV_HEALTH=1 run must stay
+#          alert-free and emit the schema v3 telemetry envelope +
+#          <fig>.health.json, a destabilized-LR run must turn fatal and emit
+#          health.* trace instants, the divergence-test JSONL artefact must
+#          hold well-formed alerts, and gtv-prof / gtv-health must render it
+#          all.
+#   transport distributed smoke: gtv-node trains a 2-client split as 4 OS
+#          processes over TCP-localhost and the per-round losses must match
+#          the in-proc reference to 1e-5; a chaos run (>=10% drop +
+#          corruption) must complete with nonzero retries, every injected
+#          corruption caught by CRC, and losses identical to the clean run.
+#   kernels dense-kernel tests (bit-parity vs the naive reference, IEEE
+#          non-finite propagation, thread-pool reentrancy, 10-round
+#          loss-trajectory parity), then bench/kernels: the tiled gemm must
+#          beat the compiled-in seed kernel by >=2.5x at 512^3 on this
+#          machine.
+#   liveobs live-telemetry smoke: a 4-process run with the Collector enabled
+#          must show every party live in gtv-top and on the Prometheus
+#          endpoint (party labels), every party must deliver >=1 snapshot
+#          with a finite measured clock offset, the loss trajectory must be
+#          identical to a telemetry-off run, and gtv-prof --offsets must fold
+#          the per-party traces into clock-aligned cross-file gap statistics.
+#   blackbox crash-forensics smoke: a recorder-on inproc run must reproduce
+#          the recorder-off losses bit-for-bit at <2% CPU overhead,
+#          gtv-postmortem --bench must sustain the append path through ring
+#          wrap with zero CRC rejects, and a 4-process TCP run SIGKILLed
+#          mid-round must leave every ring valid (CRCs, contiguous seqs) with
+#          gtv-postmortem naming the killed party, its last round/phase, and
+#          >=1 transport event around the death.
+#   sampler profiler smoke: a --sample-hz 97 inproc run must reproduce the
+#          sampler-off losses + model hash bit-for-bit at <=3% CPU overhead
+#          (wait4 rusage, interleaved pairs); a 4-process TCP run writes one
 #          <role>.folded per party, and gtv-flame's merged profile must hold
 #          >=100 samples, symbolize >=80% of frames, contain an on-CPU gemm
 #          frame and an off-CPU blocked-in-recv frame, and cover all four
 #          parties; the diff of a profile against itself must cancel to zero
-#          stacks. Emits BENCH_sampler_smoke.json (samples/sec, overhead
-#          ratio, resolved fraction).
-#   resume incremental build + resume/node/transport tests, then the
-#          elastic-federation smoke: a 4-process run that rewrites a GTVT
+#          stacks.
+#   resume elastic-federation smoke: a 4-process run that rewrites a GTVT
 #          train checkpoint every few rounds must reproduce the in-proc
 #          trajectory (checkpointing is a pure observer); a cold --resume
 #          relaunch from the round-6 container must replay to the exact
@@ -66,18 +56,19 @@
 #          (--straggle-us) with client1 SIGKILLed mid-training must park,
 #          readmit the --rejoin relaunch from the last checkpoint, and
 #          finish all rounds bit-identical to an uninterrupted run; and a
-#          --dp-noise TCP run must match the in-proc DP trainer to 1e-5
-#          (the lifted DP-over-TCP restriction). Emits
-#          BENCH_resume_smoke.json.
-#   serve  incremental build + serve/serialize tests, then the serving
-#          smoke: gtv-node --checkpoint-out writes a versioned container,
-#          gtv-serve serves it over TCP with /metrics + the flight recorder
-#          armed, two fresh connections with the same seed must hash
+#          --dp-noise TCP run must match the in-proc DP trainer to 1e-5.
+#   serve  serving smoke: gtv-node --checkpoint-out writes a versioned
+#          container, gtv-serve serves it over TCP with /metrics + the flight
+#          recorder armed, two fresh connections with the same seed must hash
 #          byte-identical, the scrape must show the serve party live with
 #          request counters, SIGTERM must drain gracefully with a clean
 #          black-box shutdown record, and bench/serve must show 64
-#          concurrent clients >=3x one client through batching. Emits
-#          BENCH_serve.json (rows/sec + latency percentiles per level).
+#          concurrent clients >=3x one client through batching.
+#
+# Every stage writes its artefacts, including the JSON of bench/kernels,
+# bench/serve, gtv-postmortem and gtv-flame, under $SMOKE_OUT (below); the
+# run leaves the source tree untouched. Serving and training performance
+# numbers come from perfbench/, not from these stages.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,8 +76,9 @@ BUILD_DIR="${1:-build}"
 STAGE="${GTV_CHECK_STAGE:-all}"
 
 # GTV_CHECK_KEEP=<dir>: write all smoke artefacts (telemetry, health,
-# traces, blackbox rings, postmortem reports) there and keep them — CI
-# uploads that directory when a stage fails. Default: a temp dir, cleaned.
+# traces, blackbox rings, postmortem reports, stage JSON) there and keep
+# them — CI uploads that directory when a stage fails. Default: a temp dir,
+# cleaned.
 if [ -n "${GTV_CHECK_KEEP:-}" ]; then
   SMOKE_OUT="$GTV_CHECK_KEEP"
   mkdir -p "$SMOKE_OUT"
@@ -176,21 +168,6 @@ for r, (c, i) in enumerate(zip(chaos["rounds"], inproc["rounds"])):
     for field in ("d_loss", "g_loss", "gp", "wasserstein"):
         assert c[field] == i[field], f"chaos round {r} {field} drifted"
 
-baseline = {
-    "schema_version": 1,
-    "rounds": len(inproc["rounds"]),
-    "tcp_vs_inproc_max_loss_delta": worst,
-    "tcp_driver_bytes": driver["traffic"]["bytes"],
-    "chaos_drop_prob": 0.15,
-    "chaos_drops": cs["drops"],
-    "chaos_retries": ct["retries"],
-    "chaos_corruptions_injected": cs["corruptions"],
-    "chaos_corruptions_caught": ct["corrupt_frames"],
-    "model_hash": inproc["model_hash"],
-}
-with open("BENCH_transport_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
 print(f"transport smoke OK: tcp max loss delta {worst}, "
       f"{ct['retries']} retries recovered {cs['drops']} drops, "
       f"{cs['corruptions']}/{cs['corruptions']} corruptions CRC-caught")
@@ -318,7 +295,7 @@ EOF
     || { echo "FAIL: gtv-prof --offsets produced no aligned gap stats"; \
          cat "$LOUT/prof_aligned.txt"; exit 1; }
 
-  # 5. Assertions + baseline emission.
+  # 5. Assertions.
   python3 - "$LOUT" "$BASE_MS" "$LIVE_MS" <<'EOF'
 import json, math, sys
 out, base_ms, live_ms = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -364,28 +341,12 @@ for party in ("server", "client0", "client1"):
     assert tele["clock"]["valid"], f"{party} publisher has no clock: {tele}"
 
 overhead = (live_ms - base_ms) / base_ms if base_ms > 0 else 0.0
-baseline = {
-    "schema_version": 1,
-    "parties": coll["parties"],
-    "snapshots_total": sum(v["snapshots"] for v in coll["views"]),
-    "snapshot_latency_p50_ms": coll["snapshot_latency_p50_ms"],
-    "snapshot_latency_p99_ms": coll["snapshot_latency_p99_ms"],
-    "max_abs_clock_offset_us": max(abs(v) for v in offsets_seen.values()),
-    "base_wall_ms": base_ms,
-    "live_wall_ms": live_ms,
-    "collector_overhead_ratio": round(overhead, 4),
-}
-with open("BENCH_liveobs_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
-print(f"liveobs smoke OK: {baseline['snapshots_total']} snapshots from "
+snapshots = sum(v["snapshots"] for v in coll["views"])
+print(f"liveobs smoke OK: {snapshots} snapshots from "
       f"{coll['parties']} parties, latency p50/p99 "
       f"{coll['snapshot_latency_p50_ms']}/{coll['snapshot_latency_p99_ms']} ms, "
       f"overhead {overhead:+.1%} ({base_ms}ms -> {live_ms}ms)")
 EOF
-
-  # 6. What moved vs the committed baselines (informational).
-  python3 scripts/bench_compare.py || true
 }
 
 # --- dense-kernel smoke (stages: all, kernels) -------------------------------
@@ -417,9 +378,6 @@ assert bench["train_round_ms"] > 0
 assert bench["speedup_512"] >= 2.5, \
     f"tiled kernel only {bench['speedup_512']}x over seed at 512^3"
 
-with open("BENCH_kernels.json", "w") as f:
-    json.dump(bench, f, indent=1)
-    f.write("\n")
 n512 = next(r for r in bench["matmul"] if r["n"] == 512)
 print(f"kernels OK ({bench['isa']}, {bench['threads']} threads): "
       f"512^3 {n512['tiled_ms']}ms ({n512['tiled_gflops']} GFLOP/s), "
@@ -579,31 +537,12 @@ for name in ("server", "client1", "driver"):
     p = parties[name]
     assert not p["died_silently"], f"{name} left no shutdown record"
 
-baseline = {
-    "schema_version": 1,
-    "records_per_sec": bench["records_per_sec"],
-    "write_p50_us": bench["write_p50_us"],
-    "write_p99_us": bench["write_p99_us"],
-    "bench_records": bench["records"],
-    "bench_retained": bench["retained"],
-    "base_cpu_s": base_s,
-    "blackbox_cpu_s": bb_s,
-    "overhead_ratio": round(overhead, 4),
-    "killed_party_last_round": pm["first_dead_last_round"],
-    "ring_records_total": sum(p["records"] for p in parties.values()),
-}
-with open("BENCH_blackbox_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
 print(f"blackbox smoke OK: {bench['records_per_sec']:.0f} rec/s "
       f"(p99 {bench['write_p99_us']}us), overhead {overhead:+.1%} CPU "
       f"({base_s}s -> {bb_s}s over {timing['pairs']} pairs), "
       f"SIGKILL forensics blamed client0 at round "
       f"{pm['first_dead_last_round']} ({pm['first_dead_last_phase']})")
 EOF
-
-  # 5. What moved vs the committed baseline (informational).
-  python3 scripts/bench_compare.py BENCH_blackbox_smoke.json || true
 }
 
 # --- sampling-profiler smoke (stages: all, sampler) --------------------------
@@ -695,7 +634,7 @@ EOF
   grep -q "<svg" "$POUT/flame.svg" \
     || { echo "FAIL: flame.svg is not an SVG"; exit 1; }
 
-  # 4. Assertions + baseline emission.
+  # 4. Assertions.
   python3 - "$POUT" "$WALL_MS" <<'EOF'
 import json, sys
 out, wall_ms = sys.argv[1], int(sys.argv[2])
@@ -748,30 +687,11 @@ for line in open(f"{out}/selfdiff.folded"):
     assert line.startswith("#"), f"self-diff left a residual stack: {line}"
 
 samples_per_sec = flame["total_samples"] / (wall_ms / 1000.0) if wall_ms else 0.0
-baseline = {
-    "schema_version": 1,
-    "total_samples": flame["total_samples"],
-    "cpu_samples": flame["cpu_samples"],
-    "offcpu_samples": flame["offcpu_samples"],
-    "samples_per_sec": round(samples_per_sec, 1),
-    "resolved_frac": round(flame["resolved_frac"], 4),
-    "unique_stacks": flame["unique_stacks"],
-    "dropped": flame["dropped"],
-    "base_cpu_s": base_s,
-    "sampler_cpu_s": on_s,
-    "overhead_ratio": round(overhead, 4),
-}
-with open("BENCH_sampler_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
 print(f"sampler smoke OK: {flame['total_samples']} samples "
       f"({flame['cpu_samples']} cpu / {flame['offcpu_samples']} offcpu, "
       f"{samples_per_sec:.0f}/s), {flame['resolved_frac']:.1%} symbolized, "
       f"overhead {overhead:+.1%} CPU over {timing['pairs']} pairs")
 EOF
-
-  # 5. What moved vs the committed baseline (informational).
-  python3 scripts/bench_compare.py BENCH_sampler_smoke.json || true
 }
 
 # --- serving smoke (stages: all, serve) --------------------------------------
@@ -868,7 +788,7 @@ EOF
     || { echo "FAIL: bench/serve determinism probe failed"; \
          cat "$VOUT/bench.json"; exit 1; }
 
-  # 8. Assertions + baseline emission.
+  # 8. Assertions.
   python3 - "$VOUT" <<'EOF'
 import json, sys
 out = sys.argv[1]
@@ -910,8 +830,6 @@ for level in bench["levels"]:
 assert bench["speedup_64_vs_1"] >= 3.0, \
     f"batching only bought {bench['speedup_64_vs_1']}x at 64 clients"
 
-# Persist the bench output verbatim as the committed baseline.
-open("BENCH_serve.json", "w").write(open(f"{out}/bench.json").read())
 levels = {l["clients"]: l for l in bench["levels"]}
 print(f"serve smoke OK: model {daemon['model_hash']} served "
       f"{daemon['rows']} rows / {daemon['requests']} requests with 0 errors, "
@@ -919,9 +837,6 @@ print(f"serve smoke OK: model {daemon['model_hash']} served "
       f"{levels[1]['rows_per_sec']:.0f} -> {levels[64]['rows_per_sec']:.0f} rows/s "
       f"({bench['speedup_64_vs_1']}x at 64 clients)")
 EOF
-
-  # 9. What moved vs the committed baseline (informational).
-  python3 scripts/bench_compare.py BENCH_serve.json || true
 }
 
 # --- elastic-federation smoke (stages: all, resume) --------------------------
@@ -1031,7 +946,7 @@ run_resume_stage() {
   "$NODE" --role inproc $ARGS --rounds 8 --dp-noise 0.1 > "$EOUT/dp_inproc.json"
   run4 dp 47769 47770 --rounds 8 --dp-noise 0.1
 
-  # 7. Assertions + baseline emission.
+  # 7. Assertions.
   python3 - "$EOUT" <<'EOF'
 import json, sys
 out = sys.argv[1]
@@ -1054,7 +969,7 @@ def close(a, b, what, tol=1e-5):
 
 # Checkpointing is a pure observer: the elastic TCP run matches the
 # in-proc reference to the transport stage's float tolerance.
-tcp_delta = close(base8["rounds"], ref8["rounds"], "base8 vs inproc")
+close(base8["rounds"], ref8["rounds"], "base8 vs inproc")
 
 # Cold resume: restored from round 6, replayed history plus two freshly
 # trained rounds, bit-identical to the uninterrupted elastic run.
@@ -1078,246 +993,57 @@ close(base40["rounds"], ref40["rounds"], "base40 vs inproc")
 # distributed run reproduce the in-proc DP trainer.
 dp_delta = close(dp["rounds"], dp_ref["rounds"], "dp tcp vs dp inproc")
 
-baseline = {
-    "schema_version": 1,
-    "rounds": len(base8["rounds"]),
-    "ckpt_every": 3,
-    "resumed_from": resumed["resumed_from"],
-    "tcp_vs_inproc_max_loss_delta": tcp_delta,
-    "crash_rounds": len(crash["rounds"]),
-    "crash_recoveries": crash["recoveries"],
-    "straggle_us": 10000,
-    "dp_noise_std": 0.1,
-    "dp_max_loss_delta": dp_delta,
-    "model_hash_8": base8["model_hash"],
-    "model_hash_40": base40["model_hash"],
-}
-with open("BENCH_resume_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
 print(f"resume smoke OK: cold resume from round {resumed['resumed_from']} "
       f"bit-exact, SIGKILL'd client rejoined ({crash['recoveries']} "
       f"recoveries) and finished {len(crash['rounds'])} rounds on hash "
       f"{crash['model_hash']}, dp-over-tcp max delta {dp_delta}")
 EOF
-
-  # 8. What moved vs the committed baseline (informational).
-  python3 scripts/bench_compare.py BENCH_resume_smoke.json || true
 }
 
-if [ "$STAGE" = "all" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
-
-  # --- observability smoke: tiny bench run with tracing on -----------------
-  TRACE="$SMOKE_OUT/trace.jsonl"
-
-  GTV_TRACE="$TRACE" GTV_PROFILE=1 GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=3 \
-    GTV_BENCH_DATASETS=loan GTV_BENCH_OUT="$SMOKE_OUT" "$BUILD_DIR/bench/comm_overhead"
-
-  [ -s "$TRACE" ] || { echo "FAIL: $TRACE is empty"; exit 1; }
-  ls "$SMOKE_OUT"/*.telemetry.json > /dev/null 2>&1 \
-    || { echo "FAIL: no telemetry.json next to the bench CSV"; exit 1; }
-  ls "$SMOKE_OUT"/*.profile.json > /dev/null 2>&1 \
-    || { echo "FAIL: no profile.json despite GTV_PROFILE=1"; exit 1; }
-  grep -q '"schema_version"' "$SMOKE_OUT"/*.telemetry.json \
-    || { echo "FAIL: telemetry.json missing schema_version"; exit 1; }
-  grep -q '"schema_version"' "$SMOKE_OUT"/*.profile.json \
-    || { echo "FAIL: profile.json missing schema_version"; exit 1; }
-
-  # Every line must be one JSON object with the Chrome trace-event fields:
-  # complete spans (ph:"X"), flow events (ph:"s"/"f"), instant events
-  # (ph:"i", health alerts), process metadata (ph:"M").
-  awk '!/^\{.*"ph":"X".*"ts":.*"dur":.*"tid":.*\}$/ \
-       && !/^\{.*"ph":"[sf]".*"id":.*"ts":.*"pid":.*\}$/ \
-       && !/^\{.*"ph":"i".*"s":"p".*"ts":.*"pid":.*\}$/ \
-       && !/^\{.*"ph":"M".*"pid":.*\}$/ { bad = 1; print "bad line " NR ": " $0 }
-       END { exit bad }' "$TRACE"
-
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$TRACE" <<'EOF'
-import json, sys
-names, span_pids, starts, finishes = set(), set(), {}, {}
-with open(sys.argv[1]) as f:
-    for n, line in enumerate(f, 1):
-        rec = json.loads(line)
-        if rec["ph"] == "X":
-            assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(rec), f"line {n}: {rec}"
-            names.add(rec["name"])
-            span_pids.add(rec["pid"])
-        elif rec["ph"] in ("s", "f"):
-            (starts if rec["ph"] == "s" else finishes)[rec["id"]] = rec["pid"]
-phases = {"cv_generation", "fake_forward", "real_forward", "critic_backward",
-          "generator_step", "round"}
-missing = phases - names
-assert not missing, f"trace is missing phases: {missing}"
-assert len(span_pids) >= 3, f"expected >=3 party rows (server/clients/driver): {span_pids}"
-assert starts and set(starts) == set(finishes), "unpaired flow ids"
-crossing = sum(1 for i, pid in starts.items() if finishes[i] != pid)
-assert crossing > 0, "no flow crosses parties"
-print(f"trace OK: {n} events, {len(names)} span names, "
-      f"{len(span_pids)} party rows, {len(starts)} flow pairs ({crossing} cross-party)")
-EOF
-  fi
-
-  # gtv-prof must merge all three artefacts without error.
-  "$BUILD_DIR/tools/gtv-prof" \
-    --profile "$SMOKE_OUT"/comm_overhead.profile.json \
-    --telemetry "$SMOKE_OUT"/comm_overhead.telemetry.json \
-    --trace "$TRACE" > "$SMOKE_OUT/prof_report.txt"
-  grep -q "== coverage ==" "$SMOKE_OUT/prof_report.txt" \
-    || { echo "FAIL: gtv-prof produced no coverage section"; exit 1; }
-
-  run_transport_stage
-  run_kernels_stage
-  run_liveobs_stage
-  run_blackbox_stage
-  run_sampler_stage
-  run_serve_stage
-  run_resume_stage
-fi
-
-if [ "$STAGE" != "all" ] && [ "$STAGE" != "health" ] && [ "$STAGE" != "transport" ] \
-   && [ "$STAGE" != "kernels" ] && [ "$STAGE" != "liveobs" ] \
-   && [ "$STAGE" != "blackbox" ] && [ "$STAGE" != "sampler" ] \
-   && [ "$STAGE" != "serve" ] && [ "$STAGE" != "resume" ]; then
-  echo "check.sh: unknown GTV_CHECK_STAGE '$STAGE' (expected all|health|transport|kernels|liveobs|blackbox|sampler|serve|resume)"
-  exit 2
-fi
-
-# --- standalone kernels stage -------------------------------------------------
-if [ "$STAGE" = "kernels" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" \
-    -R 'kernel_test|kernel_trajectory_test|thread_pool_stress_test|tensor_test|autograd_test' \
-    --output-on-failure
-  run_kernels_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone liveobs stage -------------------------------------------------
-if [ "$STAGE" = "liveobs" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'agg_test|transport_test|metrics_test' \
-    --output-on-failure
-  run_liveobs_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone blackbox stage -----------------------------------------------
-if [ "$STAGE" = "blackbox" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'blackbox_test|json_util_test|transport_test' \
-    --output-on-failure
-  run_blackbox_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone sampler stage ------------------------------------------------
-if [ "$STAGE" = "sampler" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'sampler_test|transport_test|agg_test' \
-    --output-on-failure
-  run_sampler_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone serve stage ---------------------------------------------------
-if [ "$STAGE" = "serve" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'serve_test|serialize_test|transport_test' \
-    --output-on-failure
-  run_serve_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone resume stage --------------------------------------------------
-if [ "$STAGE" = "resume" ]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'resume_test|node_test|transport_test' \
-    --output-on-failure
-  run_resume_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
-# --- standalone transport stage ----------------------------------------------
-if [ "$STAGE" = "transport" ]; then
-  # Incremental build + the transport/node test binaries, then the
-  # distributed smoke above.
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R 'transport_test|node_test|net_test' --output-on-failure
-  run_transport_stage
-  echo "check.sh: all green (stage $STAGE)"
-  exit 0
-fi
-
 # --- training-health smoke (stages: all, health) ----------------------------
-if [ "$STAGE" = "health" ]; then
-  # Standalone health stage: incremental build + regenerate the divergence
-  # artefact (cheap; the test binary owns the deterministic scenario).
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  ctest --test-dir "$BUILD_DIR" -R health_divergence_test --output-on-failure
-fi
+# A healthy run must stay alert-free, a destabilized one must turn fatal,
+# and the health tooling must render both.
+run_health_stage() {
+  local HOUT="$SMOKE_OUT/health"
+  mkdir -p "$HOUT"
+  command -v python3 > /dev/null 2>&1 \
+    || { echo "FAIL: the health stage needs python3"; exit 1; }
 
-HEALTH_OUT="$SMOKE_OUT/health"
-mkdir -p "$HEALTH_OUT"
+  # 1. Healthy seed-config run: health armed, zero alerts expected.
+  GTV_HEALTH=1 GTV_METRICS_DUMP="$HOUT/metrics.prom" \
+    GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=5 GTV_BENCH_DATASETS=loan \
+    GTV_BENCH_OUT="$HOUT" "$BUILD_DIR/bench/comm_overhead"
 
-# 1. Healthy seed-config run: health armed, zero alerts expected; its
-#    telemetry feeds the BENCH_health_smoke.json baseline.
-GTV_HEALTH=1 GTV_METRICS_DUMP="$HEALTH_OUT/metrics.prom" \
-  GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=5 GTV_BENCH_DATASETS=loan \
-  GTV_BENCH_OUT="$HEALTH_OUT" "$BUILD_DIR/bench/comm_overhead"
+  ls "$HOUT"/*.health.json > /dev/null 2>&1 \
+    || { echo "FAIL: no health.json despite GTV_HEALTH=1"; exit 1; }
+  grep -q '"schema_version":1' "$HOUT"/comm_overhead.health.json \
+    || { echo "FAIL: health.json missing schema_version 1"; exit 1; }
+  grep -q '"schema_version":3' "$HOUT"/comm_overhead.telemetry.json \
+    || { echo "FAIL: telemetry.json is not the schema_version 3 envelope"; exit 1; }
+  grep -q '"health":{' "$HOUT"/comm_overhead.telemetry.json \
+    || { echo "FAIL: v3 telemetry envelope missing the health block"; exit 1; }
+  [ -s "$HOUT/metrics.prom" ] \
+    || { echo "FAIL: GTV_METRICS_DUMP wrote nothing"; exit 1; }
+  grep -q '# TYPE' "$HOUT/metrics.prom" \
+    || { echo "FAIL: metrics.prom is not Prometheus text exposition"; exit 1; }
 
-ls "$HEALTH_OUT"/*.health.json > /dev/null 2>&1 \
-  || { echo "FAIL: no health.json despite GTV_HEALTH=1"; exit 1; }
-grep -q '"schema_version":1' "$HEALTH_OUT"/comm_overhead.health.json \
-  || { echo "FAIL: health.json missing schema_version 1"; exit 1; }
-grep -q '"schema_version":3' "$HEALTH_OUT"/comm_overhead.telemetry.json \
-  || { echo "FAIL: telemetry.json is not the schema_version 3 envelope"; exit 1; }
-grep -q '"health":{' "$HEALTH_OUT"/comm_overhead.telemetry.json \
-  || { echo "FAIL: v3 telemetry envelope missing the health block"; exit 1; }
-[ -s "$HEALTH_OUT/metrics.prom" ] \
-  || { echo "FAIL: GTV_METRICS_DUMP wrote nothing"; exit 1; }
-grep -q '# TYPE' "$HEALTH_OUT/metrics.prom" \
-  || { echo "FAIL: metrics.prom is not Prometheus text exposition"; exit 1; }
+  # 2. Destabilized run (absurd LR): must record fatal alerts, and with a
+  #    trace open the alerts must appear as ph:"i" instant events.
+  local HTRACE="$HOUT/divergence_trace.jsonl"
+  GTV_HEALTH=1 GTV_TRACE="$HTRACE" GTV_BENCH_LR=100 \
+    GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=5 GTV_BENCH_DATASETS=loan \
+    GTV_BENCH_OUT="$HOUT/diverged" "$BUILD_DIR/bench/comm_overhead"
 
-# 2. Destabilized run (absurd LR): must record fatal alerts, and with a
-#    trace open the alerts must appear as ph:"i" instant events.
-HEALTH_TRACE="$HEALTH_OUT/divergence_trace.jsonl"
-GTV_HEALTH=1 GTV_TRACE="$HEALTH_TRACE" GTV_BENCH_LR=100 \
-  GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=5 GTV_BENCH_DATASETS=loan \
-  GTV_BENCH_OUT="$HEALTH_OUT/diverged" "$BUILD_DIR/bench/comm_overhead"
+  grep -q '"ph":"i"' "$HTRACE" \
+    || { echo "FAIL: destabilized run emitted no health instant events"; exit 1; }
+  check_trace_lines "$HTRACE"
 
-grep -q '"ph":"i"' "$HEALTH_TRACE" \
-  || { echo "FAIL: destabilized run emitted no health instant events"; exit 1; }
-awk '!/^\{.*"ph":"X".*"ts":.*"dur":.*"tid":.*\}$/ \
-     && !/^\{.*"ph":"[sf]".*"id":.*"ts":.*"pid":.*\}$/ \
-     && !/^\{.*"ph":"i".*"s":"p".*"ts":.*"pid":.*\}$/ \
-     && !/^\{.*"ph":"M".*"pid":.*\}$/ { bad = 1; print "bad line " NR ": " $0 }
-     END { exit bad }' "$HEALTH_TRACE"
+  # 3. Validate artefact shapes with python3.
+  local ALERT_JSONL="$BUILD_DIR/tests/health_divergence_alerts.jsonl"
+  [ -s "$ALERT_JSONL" ] \
+    || { echo "FAIL: $ALERT_JSONL missing (health_divergence_test not run?)"; exit 1; }
 
-# 3. Validate artefact shapes + BENCH baseline with python3.
-ALERT_JSONL="$BUILD_DIR/tests/health_divergence_alerts.jsonl"
-[ -s "$ALERT_JSONL" ] \
-  || { echo "FAIL: $ALERT_JSONL missing (health_divergence_test not run?)"; exit 1; }
-
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$HEALTH_OUT" "$ALERT_JSONL" <<'EOF'
+  python3 - "$HOUT" "$ALERT_JSONL" <<'EOF'
 import json, sys
 out, alert_jsonl = sys.argv[1], sys.argv[2]
 
@@ -1353,41 +1079,121 @@ with open(alert_jsonl) as f:
 assert fatal_rounds and min(fatal_rounds) < 10, \
     f"no fatal alert within 10 rounds: {fatal_rounds}"
 
-# Seed perf baseline for the health smoke.
-hists = tele["metrics"]["histograms"]
-counters = tele["metrics"]["counters"]
-rounds = hists["gtv.phase.round_ms"]["count"]
-wall_ms = hists["gtv.phase.round_ms"]["sum"]
-wire = sum(v for k, v in counters.items()
-           if k.startswith("net.") and k.endswith(".bytes"))
-baseline = {
-    "schema_version": 1,
-    "rounds": rounds,
-    "wall_ms_per_round": round(wall_ms / rounds, 3) if rounds else 0,
-    "bytes_per_round": round(wire / rounds) if rounds else 0,
-    "peak_tensor_bytes": tele["memory"]["peak_bytes"],
-}
-with open("BENCH_health_smoke.json", "w") as f:
-    json.dump(baseline, f, indent=1)
-    f.write("\n")
-print(f"health smoke OK: seed silent, divergence fatal at round "
-      f"{min(fatal_rounds)}, baseline {baseline}")
+print(f"health smoke OK: seed silent, divergence fatal at round {min(fatal_rounds)}")
 EOF
+
+  # 4. The health tooling must render the artefacts without error.
+  "$BUILD_DIR/tools/gtv-prof" \
+    --telemetry "$HOUT"/diverged/comm_overhead.telemetry.json \
+    > "$HOUT/prof_health.txt"
+  grep -q "== health alerts" "$HOUT/prof_health.txt" \
+    || { echo "FAIL: gtv-prof did not pick up the sibling health.json"; exit 1; }
+  "$BUILD_DIR/tools/gtv-health" \
+    --health "$HOUT"/diverged/comm_overhead.health.json \
+    --telemetry "$HOUT"/diverged/comm_overhead.telemetry.json \
+    > "$HOUT/health_report.txt"
+  grep -q "== per-round timeline" "$HOUT/health_report.txt" \
+    || { echo "FAIL: gtv-health produced no timeline"; exit 1; }
+  grep -q "== run context" "$HOUT/health_report.txt" \
+    || { echo "FAIL: gtv-health produced no merged run context"; exit 1; }
+}
+
+# Every line of a trace must be one JSON object with the Chrome trace-event
+# fields: complete spans (ph:"X"), flow events (ph:"s"/"f"), instant events
+# (ph:"i", health alerts), process metadata (ph:"M").
+check_trace_lines() {
+  awk '!/^\{.*"ph":"X".*"ts":.*"dur":.*"tid":.*\}$/ \
+       && !/^\{.*"ph":"[sf]".*"id":.*"ts":.*"pid":.*\}$/ \
+       && !/^\{.*"ph":"i".*"s":"p".*"ts":.*"pid":.*\}$/ \
+       && !/^\{.*"ph":"M".*"pid":.*\}$/ { bad = 1; print "bad line " NR ": " $0 }
+       END { exit bad }' "$1"
+}
+
+# --- observability smoke (stage: all) ----------------------------------------
+# One small benchmark run with tracing + profiling on: the trace, telemetry
+# and profile artefacts must parse, and gtv-prof must merge them.
+run_trace_smoke() {
+  local TRACE="$SMOKE_OUT/trace.jsonl"
+  command -v python3 > /dev/null 2>&1 \
+    || { echo "FAIL: the trace smoke needs python3"; exit 1; }
+
+  GTV_TRACE="$TRACE" GTV_PROFILE=1 GTV_BENCH_ROWS=80 GTV_BENCH_ROUNDS=3 \
+    GTV_BENCH_DATASETS=loan GTV_BENCH_OUT="$SMOKE_OUT" "$BUILD_DIR/bench/comm_overhead"
+
+  [ -s "$TRACE" ] || { echo "FAIL: $TRACE is empty"; exit 1; }
+  ls "$SMOKE_OUT"/*.telemetry.json > /dev/null 2>&1 \
+    || { echo "FAIL: no telemetry.json next to the bench CSV"; exit 1; }
+  ls "$SMOKE_OUT"/*.profile.json > /dev/null 2>&1 \
+    || { echo "FAIL: no profile.json despite GTV_PROFILE=1"; exit 1; }
+  grep -q '"schema_version"' "$SMOKE_OUT"/*.telemetry.json \
+    || { echo "FAIL: telemetry.json missing schema_version"; exit 1; }
+  grep -q '"schema_version"' "$SMOKE_OUT"/*.profile.json \
+    || { echo "FAIL: profile.json missing schema_version"; exit 1; }
+  check_trace_lines "$TRACE"
+
+  python3 - "$TRACE" <<'EOF'
+import json, sys
+names, span_pids, starts, finishes = set(), set(), {}, {}
+with open(sys.argv[1]) as f:
+    for n, line in enumerate(f, 1):
+        rec = json.loads(line)
+        if rec["ph"] == "X":
+            assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(rec), f"line {n}: {rec}"
+            names.add(rec["name"])
+            span_pids.add(rec["pid"])
+        elif rec["ph"] in ("s", "f"):
+            (starts if rec["ph"] == "s" else finishes)[rec["id"]] = rec["pid"]
+phases = {"cv_generation", "fake_forward", "real_forward", "critic_backward",
+          "generator_step", "round"}
+missing = phases - names
+assert not missing, f"trace is missing phases: {missing}"
+assert len(span_pids) >= 3, f"expected >=3 party rows (server/clients/driver): {span_pids}"
+assert starts and set(starts) == set(finishes), "unpaired flow ids"
+crossing = sum(1 for i, pid in starts.items() if finishes[i] != pid)
+assert crossing > 0, "no flow crosses parties"
+print(f"trace OK: {n} events, {len(names)} span names, "
+      f"{len(span_pids)} party rows, {len(starts)} flow pairs ({crossing} cross-party)")
+EOF
+
+  # gtv-prof must merge all three artefacts without error.
+  "$BUILD_DIR/tools/gtv-prof" \
+    --profile "$SMOKE_OUT"/comm_overhead.profile.json \
+    --telemetry "$SMOKE_OUT"/comm_overhead.telemetry.json \
+    --trace "$TRACE" > "$SMOKE_OUT/prof_report.txt"
+  grep -q "== coverage ==" "$SMOKE_OUT/prof_report.txt" \
+    || { echo "FAIL: gtv-prof produced no coverage section"; exit 1; }
+}
+
+# --- stage dispatch ------------------------------------------------------------
+# stage -> the ctest subset it runs on its own -> run_<stage>_stage. "all"
+# runs the full ctest and the trace smoke, then every stage once, in this
+# order.
+STAGES=(transport kernels liveobs blackbox sampler serve resume health)
+declare -A STAGE_TESTS=(
+  [transport]='transport_test|node_test|net_test'
+  [kernels]='kernel_test|kernel_trajectory_test|thread_pool_stress_test|tensor_test|autograd_test'
+  [liveobs]='agg_test|transport_test|metrics_test'
+  [blackbox]='blackbox_test|json_util_test|transport_test'
+  [sampler]='sampler_test|transport_test|agg_test'
+  [serve]='serve_test|serialize_test|transport_test'
+  [resume]='resume_test|node_test|transport_test'
+  [health]='health_divergence_test'
+)
+
+if [ "$STAGE" != "all" ] && [ -z "${STAGE_TESTS[$STAGE]:-}" ]; then
+  echo "check.sh: unknown GTV_CHECK_STAGE '$STAGE' (expected all|health|transport|kernels|liveobs|blackbox|sampler|serve|resume)"
+  exit 2
 fi
 
-# 4. The health tooling must render the artefacts without error.
-"$BUILD_DIR/tools/gtv-prof" \
-  --telemetry "$HEALTH_OUT"/diverged/comm_overhead.telemetry.json \
-  > "$HEALTH_OUT/prof_health.txt"
-grep -q "== health alerts" "$HEALTH_OUT/prof_health.txt" \
-  || { echo "FAIL: gtv-prof did not pick up the sibling health.json"; exit 1; }
-"$BUILD_DIR/tools/gtv-health" \
-  --health "$HEALTH_OUT"/diverged/comm_overhead.health.json \
-  --telemetry "$HEALTH_OUT"/diverged/comm_overhead.telemetry.json \
-  > "$HEALTH_OUT/health_report.txt"
-grep -q "== per-round timeline" "$HEALTH_OUT/health_report.txt" \
-  || { echo "FAIL: gtv-health produced no timeline"; exit 1; }
-grep -q "== run context" "$HEALTH_OUT/health_report.txt" \
-  || { echo "FAIL: gtv-health produced no merged run context"; exit 1; }
+cmake -B "$BUILD_DIR" -S .
+cmake --build "$BUILD_DIR" -j
+if [ "$STAGE" = "all" ]; then
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+  run_trace_smoke
+  for S in "${STAGES[@]}"; do "run_${S}_stage"; done
+else
+  ctest --test-dir "$BUILD_DIR" -R "${STAGE_TESTS[$STAGE]}" --output-on-failure
+  "run_${STAGE}_stage"
+fi
 
 echo "check.sh: all green (stage $STAGE)"

@@ -527,6 +527,10 @@ std::vector<gan::RoundLosses> DriverNode::run() {
     status_->rounds_total.store(config_.rounds, std::memory_order_relaxed);
     status_->set_phase(obs::agg::Phase::kSetup);
   }
+  for (std::size_t i = 0; i < config_.n_clients; ++i) {
+    client_generations_.push_back(
+        meter_.transport().conn_generation("client" + std::to_string(i)));
+  }
   std::vector<gan::RoundLosses> history;
   if (!resume_path_.empty()) {
     last_train_ckpt_ = std::make_unique<serve::TrainCheckpoint>(
@@ -670,8 +674,12 @@ std::vector<gan::RoundLosses> DriverNode::recover() {
     // setup handshake already happened), so server loss is not recoverable.
     throw net::TransportError("DriverNode: server died; only client crashes are recoverable");
   }
+  // A fast --rejoin relaunch can be connected before this probe runs, so a
+  // live peer on a new connection generation counts as dead too.
   for (std::size_t i = 0; i < config_.n_clients; ++i) {
-    if (!transport.wait_for_live_peer("client" + std::to_string(i), 200)) {
+    const std::string peer = "client" + std::to_string(i);
+    const bool live = transport.wait_for_live_peer(peer, 200);
+    if (!live || transport.conn_generation(peer) != client_generations_[i]) {
       dead.push_back(i);
     }
   }
@@ -681,6 +689,7 @@ std::vector<gan::RoundLosses> DriverNode::recover() {
       throw net::TransportError("DriverNode: " + peer +
                                 " did not rejoin within the wait window");
     }
+    client_generations_[i] = transport.conn_generation(peer);
     // The restarted process starts every link at seq 0; forget the old
     // sequence bookkeeping on both directions of its driver links. (The
     // server resets its own data links to the rejoiner during kCmdRestore.)

@@ -229,8 +229,8 @@ class DriverNode {
   // kCmdRestore barrier: push last_train_ckpt_ to every party, wait for
   // acks, restore the driver's own streams. Returns the restored history.
   std::vector<gan::RoundLosses> distribute_restore();
-  // Crash recovery: identify dead peers, wait for their --rejoin relaunch,
-  // reset their links, then distribute_restore().
+  // Crash recovery: identify dead or relaunched peers, wait for their
+  // --rejoin relaunch, reset their links, then distribute_restore().
   std::vector<gan::RoundLosses> recover();
   // Reads index frames off `link` until one equals {kCmdRestore}, skipping
   // frames left over from the aborted round (stale losses, park poison).
@@ -249,6 +249,9 @@ class DriverNode {
   int rejoin_wait_ms_ = 30000;
   std::size_t resumed_from_ = 0;
   std::size_t recoveries_ = 0;
+  // Each client's connection generation when its driver links were last in
+  // lockstep; recover() treats a different one as a relaunched process.
+  std::vector<std::uint64_t> client_generations_;
   std::unique_ptr<serve::TrainCheckpoint> last_train_ckpt_;
 };
 

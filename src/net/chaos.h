@@ -53,6 +53,9 @@ class ChaosTransport : public Transport {
   bool wait_for_live_peer(const std::string& peer, int timeout_ms) override {
     return inner_->wait_for_live_peer(peer, timeout_ms);
   }
+  std::uint64_t conn_generation(const std::string& peer) const override {
+    return inner_->conn_generation(peer);
+  }
 
   struct Stats {
     std::uint64_t sends = 0;        // deliver_frame calls observed

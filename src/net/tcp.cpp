@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -513,11 +514,22 @@ void TcpTransport::deliver_frame(const std::string& link,
 std::vector<std::uint8_t> TcpTransport::fetch_frame(const std::string& link,
                                                     int timeout_ms) {
   const std::string src = link_source(link);
-  auto source_gone = [&] {
-    if (src.empty()) return false;
+  // TCP has no transparent redial: a conn that replaces the source's conn
+  // after this wait began belongs to a new process, so the frame the old
+  // one owed can never arrive. Generation 1 is the first dial, not a
+  // replacement, so a wait that starts before the peer dials in is fine.
+  const std::uint64_t start_generation =
+      src.empty() ? 0 : std::max<std::uint64_t>(conn_generation(src), 1);
+  enum class Source { kLive, kDead, kReplaced };
+  auto source_state = [&] {
+    if (src.empty()) return Source::kLive;
     std::lock_guard<std::mutex> lock(conns_mu_);
+    auto gen = conn_generation_.find(src);
+    if (gen != conn_generation_.end() && gen->second > start_generation) {
+      return Source::kReplaced;
+    }
     auto it = conns_.find(src);
-    return it != conns_.end() && it->second->closed.load();
+    return it != conns_.end() && it->second->closed.load() ? Source::kDead : Source::kLive;
   };
   std::unique_lock<std::mutex> lock(queues_mu_);
   auto ready = [&] {
@@ -528,14 +540,19 @@ std::vector<std::uint8_t> TcpTransport::fetch_frame(const std::string& link,
                         std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
   // A closed source conn usually means the peer died, and waiters must fail
   // fast instead of burning the full retry budget. But a reconnecting peer
-  // (telemetry collector, crash rejoin) lands its replacement conn a few
-  // milliseconds after the EOF — so only fail once the source has stayed
-  // dead through a short grace window.
+  // lands its replacement conn a few milliseconds after the EOF, with a
+  // frame a raw reader may already be waiting for — so only fail once the
+  // source has stayed dead through a short grace window.
   constexpr auto kDeadSourceGrace = std::chrono::milliseconds(250);
   std::chrono::steady_clock::time_point dead_since{};
   bool seen_dead = false;
   while (!ready()) {
-    if (source_gone()) {
+    const Source state = source_state();
+    if (state == Source::kReplaced) {
+      throw TransportError("tcp: peer '" + src +
+                           "' reconnected as a new process while waiting on " + link);
+    }
+    if (state == Source::kDead) {
       const auto now = std::chrono::steady_clock::now();
       if (!seen_dead) {
         seen_dead = true;

@@ -110,9 +110,7 @@ class TcpTransport : public Transport {
   // peer is unknown or clock sync was disabled.
   ClockSync clock_sync(const std::string& peer) const;
 
-  // How many connections `peer` has established with us (1 = original,
-  // each reconnect after a drop increments). 0 if never connected.
-  std::uint64_t conn_generation(const std::string& peer) const;
+  std::uint64_t conn_generation(const std::string& peer) const override;
 
   std::string kind() const override { return "tcp"; }
   void deliver_frame(const std::string& link,

@@ -1,8 +1,9 @@
 #include "net/transport.h"
 
-#include <array>
 #include <chrono>
 #include <cstring>
+
+#include "obs/crc32.h"
 
 namespace gtv::net {
 
@@ -39,29 +40,7 @@ std::uint64_t get_u64_le(const std::uint8_t* p) {
   return v;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  const auto& table = crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   if (frame.link.size() > kMaxLinkNameBytes) {
@@ -78,17 +57,9 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
   put_u64_le(out, frame.seq);
   // CRC over link + payload, the region a decorator may tamper with.
-  std::uint32_t crc = 0xffffffffu;
-  {
-    const auto& table = crc_table();
-    for (char ch : frame.link) {
-      crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (crc >> 8);
-    }
-    for (std::uint8_t b : frame.payload) {
-      crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
-    }
-    crc ^= 0xffffffffu;
-  }
+  const std::uint32_t crc = obs::crc32_update(
+      obs::crc32(reinterpret_cast<const std::uint8_t*>(frame.link.data()), frame.link.size()),
+      frame.payload.data(), frame.payload.size());
   put_u32_le(out, crc);
   out.insert(out.end(), frame.link.begin(), frame.link.end());
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
@@ -124,7 +95,7 @@ Frame decode_frame(const std::uint8_t* data, std::size_t len) {
   const std::uint32_t want_crc = get_u32_le(data + 20);
   const std::uint8_t* body = data + kFrameHeaderBytes;
   const std::size_t body_len = static_cast<std::size_t>(header.link_len) + header.payload_len;
-  if (crc32(body, body_len) != want_crc) {
+  if (obs::crc32(body, body_len) != want_crc) {
     throw CorruptFrameError("frame: checksum mismatch");
   }
   Frame frame;

@@ -91,9 +91,6 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
-
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 // Parses and validates one complete frame. Throws WireError on malformed
 // input, VersionError on a version mismatch, CorruptFrameError on a CRC
@@ -170,6 +167,16 @@ class Transport {
     (void)peer;
     (void)timeout_ms;
     return true;
+  }
+
+  // How many connections `peer` has established with us (1 = original,
+  // each reconnect increments; 0 if never connected). A reconnect is a
+  // relaunched process, so a changed value means the peer restarted, even
+  // when its new connection is already live. Transports whose parties
+  // cannot restart (inproc) return 0.
+  virtual std::uint64_t conn_generation(const std::string& peer) const {
+    (void)peer;
+    return 0;
   }
 
  private:

@@ -1,11 +1,12 @@
 #include "nn/serialize.h"
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
+
+#include "obs/crc32.h"
 
 namespace gtv::nn {
 
@@ -118,21 +119,6 @@ void load_parameters_v1(Module& module, const std::vector<std::uint8_t>& bytes,
 
 }  // namespace
 
-std::uint32_t state_crc32(const std::uint8_t* data, std::size_t size) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
 std::vector<Tensor> snapshot_state(Module& module) {
   std::vector<Tensor> tensors;
   for (const auto& p : module.parameters()) tensors.push_back(p.value());
@@ -219,7 +205,7 @@ void save_parameters(Module& module, const std::string& path) {
   bytes.reserve(payload.size() + 8);
   put_u32(bytes, kMagic);
   bytes.insert(bytes.end(), payload.begin(), payload.end());
-  put_u32(bytes, state_crc32(payload.data(), payload.size()));
+  put_u32(bytes, obs::crc32(payload.data(), payload.size()));
 
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_parameters: cannot open '" + path + "'");
@@ -248,7 +234,7 @@ void load_parameters(Module& module, const std::string& path) {
   }
   const std::size_t payload_size = bytes.size() - 4 - 4;
   const std::uint32_t stored_crc = get_u32(bytes.data() + 4 + payload_size);
-  const std::uint32_t actual_crc = state_crc32(bytes.data() + 4, payload_size);
+  const std::uint32_t actual_crc = obs::crc32(bytes.data() + 4, payload_size);
   if (stored_crc != actual_crc) {
     throw std::runtime_error("load_parameters: CRC mismatch in '" + path + "'");
   }

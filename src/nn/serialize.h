@@ -44,8 +44,4 @@ void append_tensor_block(std::vector<std::uint8_t>& out, const std::vector<Tenso
 std::vector<Tensor> parse_tensor_block(const std::uint8_t* data, std::size_t size,
                                        std::size_t& offset);
 
-// CRC32 (IEEE 802.3, same polynomial as the gtv::net frame checksum) used
-// by the serialize/checkpoint envelopes.
-std::uint32_t state_crc32(const std::uint8_t* data, std::size_t size);
-
 }  // namespace gtv::nn

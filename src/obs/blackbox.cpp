@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/crc32.h"
 #include "obs/thread_name.h"
 #include "obs/trace.h"
 
@@ -77,35 +78,12 @@ inline float get_f32(const std::uint8_t* p) {
   return v;
 }
 
-// CRC-32 (IEEE, reflected). Own copy: gtv_net links gtv_obs, so the obs
-// layer cannot reach net::crc32 without a dependency cycle. The table is
-// built eagerly at namespace scope — signal handlers must never hit a
-// lazy-init path.
-struct CrcTable {
-  std::uint32_t t[256];
-  CrcTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-  }
-};
-const CrcTable g_crc;
-
-inline std::uint32_t crc_feed(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) c = g_crc.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-  return c;
-}
-
 // CRC over a fully-assembled frame: bytes [4,12) + [16,32) + payload (the
 // CRC field itself at [12,16) is excluded).
 std::uint32_t frame_crc(const std::uint8_t* frame, std::size_t payload_len) {
-  std::uint32_t c = 0xffffffffu;
-  c = crc_feed(c, frame + 4, 8);
-  c = crc_feed(c, frame + 16, 16);
-  c = crc_feed(c, frame + kRecordHeaderBytes, payload_len);
-  return c ^ 0xffffffffu;
+  std::uint32_t c = crc32(frame + 4, 8);
+  c = crc32_update(c, frame + 16, 16);
+  return crc32_update(c, frame + kRecordHeaderBytes, payload_len);
 }
 
 // string field: u16 length + raw bytes. Returns bytes consumed, 0 = no fit.

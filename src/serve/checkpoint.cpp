@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "nn/serialize.h"
+#include "obs/crc32.h"
 #include "tensor/bytes.h"
 
 namespace gtv::serve {
@@ -285,7 +286,7 @@ void save_train_checkpoint(const TrainCheckpoint& checkpoint, const std::string&
   bytes::put_u32(out, kTrainCheckpointVersion);
   bytes::put_u64(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
+  bytes::put_u32(out, obs::crc32(payload.data(), payload.size()));
 
   // Atomic: train checkpoints are written mid-run, exactly when crashes
   // happen, so the previous good file must survive a torn write.
@@ -330,7 +331,7 @@ TrainCheckpoint load_train_checkpoint(const std::string& path) {
     }
     const std::uint8_t* payload = raw.data() + 16;
     const std::uint32_t stored_crc = bytes::get_u32(payload + payload_len);
-    if (stored_crc != nn::state_crc32(payload, static_cast<std::size_t>(payload_len))) {
+    if (stored_crc != obs::crc32(payload, static_cast<std::size_t>(payload_len))) {
       throw CheckpointError("load_train_checkpoint: CRC mismatch in '" + path + "'");
     }
 
@@ -396,7 +397,7 @@ void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
   bytes::put_u32(out, kCheckpointVersion);
   bytes::put_u64(out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, nn::state_crc32(payload.data(), payload.size()));
+  bytes::put_u32(out, obs::crc32(payload.data(), payload.size()));
 
   std::ofstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("save_checkpoint: cannot open '" + path + "'");
@@ -430,7 +431,7 @@ Checkpoint load_checkpoint(const std::string& path) {
     }
     const std::uint8_t* payload = raw.data() + 16;
     const std::uint32_t stored_crc = bytes::get_u32(payload + payload_len);
-    if (stored_crc != nn::state_crc32(payload, static_cast<std::size_t>(payload_len))) {
+    if (stored_crc != obs::crc32(payload, static_cast<std::size_t>(payload_len))) {
       throw CheckpointError("load_checkpoint: CRC mismatch in '" + path + "'");
     }
 

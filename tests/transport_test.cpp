@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <thread>
 
 #include "net/chaos.h"
 #include "net/tcp.h"
 #include "net/wire.h"
+#include "obs/crc32.h"
 #include "obs/metrics.h"
 
 namespace gtv::net {
@@ -108,8 +111,11 @@ TEST(FrameCodecTest, TruncationAtEveryLengthThrows) {
 TEST(FrameCodecTest, CrcMatchesKnownVector) {
   // CRC-32 (IEEE) of "123456789" is the classic check value 0xcbf43926.
   const std::string s = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()),
-            0xcbf43926u);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
+  EXPECT_EQ(obs::crc32(p, s.size()), 0xcbf43926u);
+  // Split feeds chain to the same value as one pass.
+  EXPECT_EQ(obs::crc32_update(obs::crc32(p, 4), p + 4, s.size() - 4), 0xcbf43926u);
+  EXPECT_EQ(obs::crc32_update(obs::crc32(p, s.size()), p, 0), 0xcbf43926u);
 }
 
 // --- Transport sequencing --------------------------------------------------------
@@ -457,6 +463,43 @@ TEST(TcpTransportTest, ReconnectReplacesDeadConnection) {
   EXPECT_EQ(frame.payload, bytes_of({2}));
   EXPECT_EQ(server.conn_generation("client0"), 2u);
   EXPECT_TRUE(server.clock_sync("client0").valid);
+}
+
+TEST(TcpTransportTest, WaiterFailsWhenSourceReconnectsAsNewProcess) {
+  // A crashed party that relaunches and redials within the dead-source
+  // grace window must not leave a waiter blocked on a frame only the dead
+  // process could have sent: the new conn is a new process.
+  TcpTransport server("server");
+  const std::uint16_t port = server.listen(0);
+  auto first = std::make_unique<TcpTransport>("client0");
+  first->connect_peer("server", "127.0.0.1", port);
+  ASSERT_TRUE(server.wait_for_peer("client0", 5000));
+
+  std::atomic<int> outcome{0};  // 1 frame, 2 TransportError, 3 TimeoutError
+  std::chrono::steady_clock::duration waited{};
+  std::thread waiter([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      server.fetch_frame("client0->server", 10000);
+      outcome = 1;
+    } catch (const TimeoutError&) {
+      outcome = 3;
+    } catch (const TransportError&) {
+      outcome = 2;
+    }
+    waited = std::chrono::steady_clock::now() - t0;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // waiter blocks
+
+  first.reset();  // the first client0 dies
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  TcpTransport second("client0");  // ...and its relaunch redials within 50 ms
+  second.connect_peer("server", "127.0.0.1", port);
+  waiter.join();
+
+  EXPECT_EQ(outcome.load(), 2);
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  EXPECT_EQ(server.conn_generation("client0"), 2u);
 }
 
 TEST(TcpTransportTest, MeterSplitEndpointsCarryTensors) {

@@ -10,7 +10,7 @@
 //   gtv-postmortem --bench --bench-path FILE [--bench-records N]
 //     appends N records to a fresh ring, reads them back, and prints
 //     records/sec + per-append latency percentiles as JSON (the check.sh
-//     blackbox stage turns this into BENCH_blackbox_smoke.json).
+//     blackbox stage fails on an invalid ring or any CRC reject).
 //
 // The report answers the first three questions of any dead run: who died
 // first (a party whose ring ends without a shutdown or crash record never
